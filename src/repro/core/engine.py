@@ -21,8 +21,9 @@ Scheduler protocol
 ------------------
 The engine consults the scheduler at every *decision point* — any event after
 which the master's port is free and at least one released task is still
-unassigned.  The scheduler sees an immutable :class:`SchedulerView` and
-returns a :class:`Decision`:
+unassigned.  Every release dated the decision time is added before the
+consultation.  The scheduler sees a :class:`SchedulerView` and returns a
+:class:`Decision`:
 
 * :meth:`Decision.assign` — start sending the given task to the given worker
   immediately;
@@ -34,6 +35,17 @@ returns a :class:`Decision`:
 
 Returning ``wait`` while no future event exists raises
 :class:`~repro.exceptions.SchedulingStalledError` instead of hanging.
+
+A view is valid only during the ``decide`` call it is handed to:
+``view.pending`` is a read-only, live :class:`PendingTasks` sequence over
+the engine's own pending queue, so it changes as the run proceeds.  A
+scheduler that wants to keep the pending tasks beyond ``decide`` takes a
+snapshot with ``tuple(view.pending)``.
+
+Hot path
+--------
+The work per event does not grow with the backlog; ``docs/ARCHITECTURE.md``
+§1 describes the release cursor, the pending deque and the live view.
 
 Dynamic platforms (scenario timelines)
 --------------------------------------
@@ -64,9 +76,18 @@ point.
 from __future__ import annotations
 
 import math
-from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from ..exceptions import (
     InvalidDecisionError,
@@ -85,6 +106,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Decision",
     "WorkerView",
+    "PendingTasks",
     "SchedulerView",
     "OnePortEngine",
     "simulate",
@@ -182,13 +204,42 @@ class WorkerView:
         return max(arrival, self.ready_time) + self.p * comp_factor
 
 
+class PendingTasks(Sequence[Task]):
+    """Read-only live sequence of the released, unassigned tasks.
+
+    The engine owns the underlying queue and hands the same object to every
+    view, so reading it costs nothing per consultation.  It supports
+    ``len``, indexing (O(1) at both ends) and iteration, but no mutation.  Its contents are only meaningful during ``decide``; use
+    ``tuple(pending)`` to keep a snapshot.
+    """
+
+    __slots__ = ("_tasks",)
+
+    def __init__(self, tasks: Deque[Task]) -> None:
+        self._tasks = tasks
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def __getitem__(self, index: int) -> Task:  # type: ignore[override]
+        return self._tasks[index]
+
+    def __iter__(self) -> Iterator[Task]:
+        return iter(self._tasks)
+
+
 @dataclass(frozen=True, slots=True)
 class SchedulerView:
-    """Immutable snapshot handed to the scheduler at a decision point."""
+    """What the scheduler sees at a decision point, valid during ``decide``.
+
+    Every field but ``pending`` is a value fixed at the decision point;
+    ``pending`` is the engine's live :class:`PendingTasks` (see the module
+    docstring for its lifetime rule).
+    """
 
     now: float
     #: Released, not-yet-assigned tasks in FIFO order (release, then id).
-    pending: Tuple[Task, ...]
+    pending: PendingTasks
     workers: Tuple[WorkerView, ...]
     #: True when the master's port is free (always true at decision points,
     #: kept for completeness so views can also be built for inspection).
@@ -357,9 +408,10 @@ class OnePortEngine:
         self._workers: List[_WorkerState] = [
             _WorkerState(worker=w) for w in platform.workers
         ]
-        self._pending: List[Task] = []          # released, unassigned, FIFO
+        self._pending: Deque[Task] = deque()    # released, unassigned, FIFO
+        self._pending_view = PendingTasks(self._pending)
         self._records: Dict[int, _PartialRecord] = {}
-        self._n_released = 0
+        self._n_released = 0                    # also the release cursor
         self._n_completed = 0
         self._n_assigned = 0
 
@@ -377,12 +429,9 @@ class OnePortEngine:
                     worker_id=event.worker_id,
                 )
 
-        for task in tasks:
-            self._events.push(task.release, EventKind.TASK_RELEASE, task_id=task.task_id)
-
     # -- views ---------------------------------------------------------------
     def view(self) -> SchedulerView:
-        """Build the immutable snapshot handed to the scheduler.
+        """Build the view handed to the scheduler; O(workers), no pending copy.
 
         On dynamic platforms the per-worker speeds/availability are synced
         from the timeline first: a consultation can fall inside an exact
@@ -397,7 +446,7 @@ class OnePortEngine:
                     self._reprice_worker(state)
         return SchedulerView(
             now=self.now,
-            pending=tuple(self._pending),
+            pending=self._pending_view,
             workers=tuple(state.view(self.now) for state in self._workers),
             channel_free=self.channel_free_at <= self.now,
             channel_free_at=max(self.channel_free_at, self.now)
@@ -416,35 +465,51 @@ class OnePortEngine:
             n_tasks_hint=len(self.tasks) if self.expose_task_count else None,
         )
         processed = 0
-        n_tasks = len(self.tasks)
+        order = list(self.tasks)  # FIFO (release, task_id) order
+        n_tasks = len(order)
+        pending = self._pending
+        events = self._events
 
         while self._n_completed < n_tasks:
             # 1. consult the scheduler if a decision is possible
             self._maybe_consult(scheduler)
 
-            # 2. advance to the next event
+            # 2. advance to the next event: the heap top or the release
+            #    cursor, whichever comes first in (time, kind) order
             if self._n_completed >= n_tasks:
                 break
-            event = self._events.peek()
+            event = events.peek()
+            cursor = self._n_released
+            if cursor < n_tasks and (
+                event is None
+                or (order[cursor].release, EventKind.TASK_RELEASE) < (event.time, event.kind)
+            ):
+                # Release every task dated `now` before the next consultation,
+                # so the scheduler sees every task released up to `now`.
+                self.now = max(self.now, order[cursor].release)
+                end = cursor + 1
+                while end < n_tasks and order[end].release <= self.now:
+                    end += 1
+                pending.extend(order[cursor:end])
+                self._n_released = end
+                processed += end - cursor
+                if processed > self.max_events:
+                    raise self._event_budget_error()
+                continue
             if event is None:
                 raise SchedulingStalledError(
                     "scheduler declined to act and no future event exists; "
-                    f"{len(self._pending)} task(s) remain unassigned"
+                    f"{len(pending)} task(s) remain unassigned"
                 )
-            self._events.pop()
+            events.pop()
             processed += 1
             if processed > self.max_events:
-                raise SchedulingError(
-                    f"simulation exceeded {self.max_events} events; "
-                    "the scheduler is probably requesting wake-ups in a loop"
-                )
+                raise self._event_budget_error()
             if event.time < self.now - 1e-12:
                 raise SchedulingError("event queue went back in time")
             self.now = max(self.now, event.time)
 
-            if event.kind == EventKind.TASK_RELEASE:
-                self._on_release(event.task_id)
-            elif event.kind == EventKind.SEND_COMPLETE:
+            if event.kind == EventKind.SEND_COMPLETE:
                 self._on_send_complete(event.task_id, event.worker_id)
             elif event.kind == EventKind.COMPUTE_COMPLETE:
                 self._on_compute_complete(event.task_id, event.worker_id)
@@ -468,6 +533,12 @@ class OnePortEngine:
             for r in self._records.values()
         ]
         return Schedule(self.platform, self.tasks, records, timeline=self._timeline)
+
+    def _event_budget_error(self) -> SchedulingError:
+        return SchedulingError(
+            f"simulation exceeded {self.max_events} events; "
+            "the scheduler is probably requesting wake-ups in a loop"
+        )
 
     # -- scheduler consultation ----------------------------------------------
     def _maybe_consult(self, scheduler: "OnlineScheduler") -> None:
@@ -576,11 +647,6 @@ class OnePortEngine:
             self._start_next_computation(event.worker_id)
 
     # -- event handlers --------------------------------------------------------
-    def _on_release(self, task_id: int) -> None:
-        task = self.tasks.by_id(task_id)
-        insort(self._pending, task)  # keep FIFO (release, id) order
-        self._n_released += 1
-
     def _start_send(self, task_id: int, worker_id: int) -> None:
         # FIFO schedulers almost always pick the head of the pending list, so
         # check it first before scanning.
@@ -615,7 +681,7 @@ class OnePortEngine:
         worker_state.backlog += 1
         worker_state.inflight = (task_id, send_end)
 
-        del pending[pending_index]
+        del pending[pending_index]  # O(1) at the head of the deque
         self._records[task_id] = _PartialRecord(
             task_id=task_id,
             worker_id=worker_id,

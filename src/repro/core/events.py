@@ -16,12 +16,15 @@ decision point.  Only five event kinds exist in the model:
 
 Events are totally ordered by ``(time, priority, sequence)``; the priority
 encodes the convention that at equal times the engine first learns about
-completions, then platform changes, then releases, then wake-ups, so that a
-scheduler consulted at time *t* sees every piece of information dated *t*.
+completions, then platform changes, then releases, then wake-ups.
 Processing completions before platform events is what guarantees that a
 platform event landing exactly on a ``SEND_COMPLETE``/``COMPUTE_COMPLETE``
 timestamp can never alter in-flight durations (they were fixed when the
 send/computation started).
+
+Releases never enter the :class:`EventQueue`: the engine merges a cursor over
+the sorted task set with the queue's top under the same rule (see
+``docs/ARCHITECTURE.md`` §1).
 """
 
 from __future__ import annotations

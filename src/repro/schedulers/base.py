@@ -1,12 +1,14 @@
 """Scheduler protocol and registry.
 
 All on-line scheduling policies implement :class:`OnlineScheduler`: a pure
-decision procedure that, given an immutable :class:`~repro.core.engine.
-SchedulerView`, returns a :class:`~repro.core.engine.Decision`.  Policies keep
-whatever private state they like between calls (round-robin cursors, planned
-assignments, ...) but never touch engine internals — this is what allows the
-same policies to run on the theoretical engine, on the simulated MPI cluster,
-and inside the adversary games of :mod:`repro.theory`.
+decision procedure that, given a :class:`~repro.core.engine.SchedulerView`,
+returns a :class:`~repro.core.engine.Decision`.  A view is valid only during
+the ``decide`` call: its ``pending`` is a live read-only sequence, so a policy
+that keeps pending tasks past the call stores ``tuple(view.pending)``.
+Policies keep whatever private state they like between calls (round-robin
+cursors, planned assignments, ...) but never touch engine internals — this is
+what allows the same policies to run on the theoretical engine, on the
+simulated MPI cluster, and inside the adversary games of :mod:`repro.theory`.
 
 The registry maps the short names used throughout the paper (``SRPT``,
 ``LS``, ``RR``, ``RRC``, ``RRP``, ``SLJF``, ``SLJFWC``) to factories so the
@@ -63,6 +65,7 @@ class OnlineScheduler(abc.ABC):
         The engine only calls this when the master's port is free and at
         least one released task is unassigned, so returning
         ``Decision.assign`` is always legal with respect to the port.
+        ``view`` is valid only until this call returns.
         """
 
     # Helper shared by several policies -------------------------------------

@@ -211,8 +211,7 @@ class OrderedAssignmentScheduler(OnlineScheduler):
             # Tasks outside the explicit order fall back to FIFO/first worker.
             return Decision.assign(self._fifo_task(view), 0)
         next_task_id = self.order[self._cursor]
-        pending_ids = {t.task_id: t for t in view.pending}
-        if next_task_id in pending_ids:
+        if any(task.task_id == next_task_id for task in view.pending):
             self._cursor += 1
             return Decision.assign(next_task_id, self.assignment[next_task_id])
         # The next task of the prescribed order is not released yet: since the

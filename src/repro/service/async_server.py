@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import signal
 import socket
@@ -131,6 +132,23 @@ class _Connection:
         #: Cleared by the write loop when the client vanishes; the dispatch
         #: loop then stops paying for simulations nobody will read.
         self.alive = True
+
+
+def _eof_if_never_started(
+    inbound: "asyncio.Queue[Optional[str]]", read_task: "asyncio.Task"
+) -> None:
+    """Deliver the end-of-stream sentinel of a reader cancelled unstarted.
+
+    A drain can cancel a reader before its first step; its coroutine then
+    never runs, nor its ``finally`` that queues the sentinel, and the
+    dispatch loop would wait out ``drain_timeout``.  A reader that did run
+    swallows the cancellation and ends normally, so only the unstarted one
+    reports ``cancelled()`` while the dispatch loop still waits (its queue
+    is then empty, so the put cannot fail).
+    """
+    if read_task.cancelled():
+        with contextlib.suppress(asyncio.QueueFull):
+            inbound.put_nowait(None)
 
 
 class AsyncScheduleServer:
@@ -387,6 +405,7 @@ class AsyncScheduleServer:
             maxsize=self.write_queue_lines
         )
         read_task = asyncio.create_task(self._read_loop(reader, inbound))
+        read_task.add_done_callback(functools.partial(_eof_if_never_started, inbound))
         self._reader_tasks.add(read_task)
         write_task = asyncio.create_task(self._write_loop(writer, outbound, conn))
         try:

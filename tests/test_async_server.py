@@ -236,3 +236,34 @@ class TestGracefulDrain:
             await server.close()
 
         asyncio.run(go())
+
+    def test_close_right_after_accept_drains_promptly(self):
+        # close() can cancel a connection's reader before its first step, so
+        # the reader's own end-of-stream sentinel never runs; the drain must
+        # still finish at once instead of idling for drain_timeout.
+        drain_timeout = 3.0
+
+        class CloseOnAccept(AsyncScheduleServer):
+            closing = None
+
+            async def _handle_connection(self, reader, writer):
+                self.closing = asyncio.ensure_future(self.close())
+                await super()._handle_connection(reader, writer)
+
+        async def go():
+            server = CloseOnAccept(make_service(), drain_timeout=drain_timeout)
+            await server.start()
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            while server.closing is None:
+                await asyncio.sleep(0.001)
+            loop = asyncio.get_running_loop()
+            start = loop.time()
+            await server.closing
+            elapsed = loop.time() - start
+            await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return elapsed
+
+        assert asyncio.run(go()) < drain_timeout / 10

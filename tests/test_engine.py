@@ -8,9 +8,11 @@ paper's model rather than to its own implementation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import pytest
 
-from repro.core.engine import Decision, OnePortEngine, simulate
+from repro.core.engine import Decision, OnePortEngine, PendingTasks, simulate
 from repro.core.platform import Platform
 from repro.core.task import TaskSet
 from repro.exceptions import (
@@ -18,6 +20,7 @@ from repro.exceptions import (
     SchedulingError,
     SchedulingStalledError,
 )
+from repro.scenarios import PlatformTimeline, SpeedChange
 from repro.schedulers.base import OnlineScheduler
 from repro.schedulers.random_policy import FixedAssignmentScheduler
 from repro.workloads.release import all_at_zero
@@ -226,3 +229,186 @@ class TestSchedulerView:
         schedule = simulate(Predictor(), platform, all_at_zero(4))
         for task_id, predicted in predictions:
             assert schedule[task_id].compute_end == pytest.approx(predicted)
+
+
+class PendingSpy(OnlineScheduler):
+    """Logs ``(now, pending ids, n_released)`` per consult, assigns by rule.
+
+    ``pick`` maps the pending ids to the index of the task to send, so a
+    test can take tasks from the middle of the queue, not only its head.
+    """
+
+    name = "PENDING-SPY"
+
+    def __init__(self, log, pick=lambda ids: 0):
+        super().__init__()
+        self.log = log
+        self.pick = pick
+        self.views = []
+
+    def decide(self, view):
+        ids = tuple(task.task_id for task in view.pending)
+        self.log.append(("consult", view.now, ids, view.n_released))
+        self.views.append(view)
+        return Decision.assign(ids[self.pick(ids)], 0)
+
+
+class LoggingEngine(OnePortEngine):
+    """Records each heap event it handles, in handling order."""
+
+    def __init__(self, *args, log, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = log
+
+    def _on_send_complete(self, task_id, worker_id):
+        self.log.append(("SEND_COMPLETE", self.now))
+        super()._on_send_complete(task_id, worker_id)
+
+    def _on_compute_complete(self, task_id, worker_id):
+        self.log.append(("COMPUTE_COMPLETE", self.now))
+        super()._on_compute_complete(task_id, worker_id)
+
+    def _on_platform_event(self, index):
+        self.log.append(("PLATFORM_EVENT", self.now))
+        super()._on_platform_event(index)
+
+
+class TestPendingView:
+    def test_first_consult_sees_every_same_instant_release(self):
+        log = []
+        simulate(PendingSpy(log), Platform.from_times([1.0], [1.0]), all_at_zero(4))
+        _, now, ids, n_released = log[0]
+        assert now == 0.0
+        assert ids == (0, 1, 2, 3)
+        assert n_released == 4
+
+    def test_views_share_one_live_pending_object(self):
+        platform = Platform.from_times([1.0], [1.0])
+        engine = OnePortEngine(platform, all_at_zero(3))
+        assert engine.view().pending is engine.view().pending
+        spy = PendingSpy([])
+        engine.run(spy)
+        first = spy.views[0].pending
+        assert all(view.pending is first for view in spy.views)
+        assert first is engine.view().pending
+        # Live, not a copy: every task has been assigned by now.
+        assert len(first) == 0
+        assert list(first) == []
+
+    def test_pending_is_a_read_only_sequence(self):
+        engine = OnePortEngine(Platform.from_times([1.0], [1.0]), all_at_zero(3))
+        snapshots = []
+
+        class Snapshot(OnlineScheduler):
+            name = "SNAPSHOT"
+
+            def decide(self, view):
+                pending = view.pending
+                assert isinstance(pending, PendingTasks)
+                assert isinstance(pending, Sequence)
+                snapshots.append(tuple(pending))
+                assert pending[0] is view.next_pending
+                assert pending[-1] is pending[len(pending) - 1]
+                assert pending.index(pending[-1]) == len(pending) - 1
+                assert pending[0] in pending
+                for name in (
+                    "append",
+                    "appendleft",
+                    "extend",
+                    "insert",
+                    "pop",
+                    "popleft",
+                    "remove",
+                    "clear",
+                    "rotate",
+                    "__setitem__",
+                    "__delitem__",
+                    "__iadd__",
+                ):
+                    assert not hasattr(pending, name), name
+                with pytest.raises(TypeError):
+                    pending[0] = pending[0]
+                with pytest.raises(AttributeError):
+                    pending.extra = 1
+                return Decision.assign(pending[0].task_id, 0)
+
+        engine.run(Snapshot())
+        # tuple(view.pending) keeps its snapshot after decide returns.
+        assert [[t.task_id for t in snap] for snap in snapshots] == [[0, 1, 2], [1, 2], [2]]
+
+    @pytest.mark.parametrize("pick", ["head", "middle", "tail"])
+    def test_pending_matches_released_unassigned_fifo(self, pick):
+        releases = [0.0, 0.0, 0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 7.0]
+        tasks = TaskSet.from_releases(releases)
+        rule = {
+            "head": lambda ids: 0,
+            "middle": lambda ids: len(ids) // 2,
+            "tail": lambda ids: len(ids) - 1,
+        }[pick]
+        log = []
+        schedule = simulate(PendingSpy(log, rule), Platform.from_times([0.3], [1.0]), tasks)
+        assigned = set()
+        for _, now, ids, n_released in log:
+            released = [t for t in tasks if t.release <= now]
+            expected = [t.task_id for t in released if t.task_id not in assigned]
+            assert ids == tuple(expected)
+            assert n_released == len(released)
+            assigned.add(ids[rule(ids)])
+        assert len(schedule) == len(releases)
+
+
+class TestSameInstantOrdering:
+    """A release dated exactly at a heap event's time, per (time, kind)."""
+
+    @pytest.mark.parametrize(
+        "kind, releases, comm, comp, timeline",
+        [
+            # task 0 is sent over [0, 1], so its SEND_COMPLETE is at t = 1
+            ("SEND_COMPLETE", [0.0, 1.0], 1.0, 2.0, None),
+            # task 0 computes over [1, 3], so its COMPUTE_COMPLETE is at t = 3
+            ("COMPUTE_COMPLETE", [0.0, 3.0], 1.0, 2.0, None),
+            # the worker's speed changes at t = 2
+            (
+                "PLATFORM_EVENT",
+                [0.0, 2.0],
+                1.0,
+                5.0,
+                PlatformTimeline(1, [SpeedChange(2.0, 0, comp_speed=0.5)]),
+            ),
+        ],
+    )
+    def test_release_follows_same_time_heap_event(self, kind, releases, comm, comp, timeline):
+        log = []
+        engine = LoggingEngine(
+            Platform.from_times([comm], [comp]),
+            TaskSet.from_releases(releases),
+            timeline=timeline,
+            log=log,
+        )
+        engine.run(PendingSpy(log))
+        t = releases[1]
+        handled = log.index((kind, t))
+        consult = next(
+            index for index, entry in enumerate(log) if entry[0] == "consult" and entry[1] == t
+        )
+        assert handled < consult
+        assert log[consult][2] == (1,)
+
+    def test_release_precedes_same_time_wakeup(self):
+        log = []
+
+        class WaitThenFifo(PendingSpy):
+            def decide(self, view):
+                ids = tuple(task.task_id for task in view.pending)
+                self.log.append(("consult", view.now, ids, view.n_released))
+                if view.now < 2.0:
+                    return Decision.wait_until(2.0)
+                return Decision.assign(ids[0], 0)
+
+        simulate(
+            WaitThenFifo(log), Platform.from_times([1.0], [1.0]), TaskSet.from_releases([0.0, 2.0])
+        )
+        at_two = [entry for entry in log if entry[1] == 2.0]
+        # The wake-up at t = 2 consults only after the release dated t = 2.
+        assert at_two[0][2] == (0, 1)
+        assert at_two[0][3] == 2
